@@ -458,12 +458,15 @@ impl Monitor {
     }
 
     /// Mutable host accessor used by deployment and dispatch (creates the
-    /// host on demand so routing never dangles).
+    /// host on demand so routing never dangles).  A peer joins the network
+    /// exactly when its host is created, so the registered peers are the
+    /// peers with a host.
     pub(crate) fn host_mut(&mut self, peer: &str) -> &mut PeerHost {
-        self.network.add_peer(peer);
         let adaptive = self.config.adaptive_filter;
         let deep_clone = self.config.deep_clone_items;
+        let network = &mut self.network;
         self.hosts.get_or_insert_with(peer, || {
+            network.add_peer(peer);
             let mut host = PeerHost::new(peer, adaptive);
             host.deep_clone_items = deep_clone;
             host
@@ -634,17 +637,20 @@ impl Monitor {
         }
         // Policy gate: forward only streams whose measured pressure (rate ×
         // remote consumers) earns the bookkeeping, and respect the
-        // per-stream cap.  `min_rate == 0` declares eagerly.
-        let policy = self.config.replica_policy.clone();
-        if self.replica_pressure(&origin) < policy.min_rate {
+        // per-stream cap.  `min_rate == 0` declares eagerly.  Each count is
+        // taken only when its threshold can refuse: both scan whole tables.
+        let policy = &self.config.replica_policy;
+        if policy.min_rate > 0.0 && self.replica_pressure(&origin) < policy.min_rate {
             return;
         }
-        let live = self
-            .replica_refs
-            .keys()
-            .filter(|(o, _)| o == &origin)
-            .count();
-        if live >= policy.max_replicas_per_stream {
+        if policy.max_replicas_per_stream < usize::MAX
+            && self
+                .replica_refs
+                .keys()
+                .filter(|(o, _)| o == &origin)
+                .count()
+                >= policy.max_replicas_per_stream
+        {
             return;
         }
         if policy.prefer_cluster_median {
@@ -705,6 +711,10 @@ impl Monitor {
             .rate_table
             .bytes_per_second(&ChannelId::new(origin.0.clone(), origin.1.clone()), now)
             .unwrap_or(0.0);
+        if rate == 0.0 {
+            // A stream without traffic has no pressure, whatever its fan-out.
+            return 0.0;
+        }
         // Consumers register in routing before the policy is asked, so the
         // triggering consumer is already counted.
         rate * self.remote_consumers_of(origin) as f64
@@ -1627,5 +1637,58 @@ impl Monitor {
                     .collect(),
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The registered network peers, and the peers that have a host.
+    fn registry(monitor: &Monitor) -> (Vec<String>, Vec<String>) {
+        let peers = monitor.peers().into_iter().map(String::from).collect();
+        let mut hosted: Vec<String> = monitor
+            .hosts
+            .values()
+            .map(|h| h.name().to_string())
+            .collect();
+        hosted.sort();
+        (peers, hosted)
+    }
+
+    #[test]
+    fn a_peer_is_registered_once_with_its_host() {
+        let monitored: Vec<String> = (0..1000).map(|i| format!("m{i:04}.org")).collect();
+        let sources: String = monitored.iter().map(|p| format!("<p>{p}</p>")).collect();
+        let text = format!(
+            "for $c in inCOM({sources}) return topk($c.callMethod, 3) by email \"ops@hub.org\";"
+        );
+        let mut monitor = Monitor::new(MonitorConfig::default());
+        monitor.add_peer("hub.org");
+        let handle = monitor.submit("hub.org", &text).expect("aggregate deploys");
+        let (peers, hosted) = registry(&monitor);
+        assert_eq!(peers, hosted);
+        assert!(monitored.iter().all(|p| peers.contains(p)));
+        assert!(monitor.unsubscribe(&handle));
+        let (peers_after, hosted_after) = registry(&monitor);
+        assert_eq!(peers_after, hosted_after);
+        assert_eq!(peers_after, peers, "teardown keeps every registered peer");
+
+        // Re-registering known peers, or deploying over them again, touches
+        // neither the dispatch frontier nor the network.
+        let frontier = monitor.frontier();
+        let stats = monitor.network_stats().clone();
+        for peer in &monitored {
+            monitor.add_peer(peer.as_str());
+        }
+        monitor.add_peer("hub.org");
+        assert_eq!(monitor.frontier(), frontier);
+        assert_eq!(monitor.network_stats(), &stats);
+        monitor
+            .submit("hub.org", &text)
+            .expect("aggregate redeploys");
+        assert_eq!(monitor.frontier(), frontier);
+        assert_eq!(monitor.network_stats(), &stats);
+        assert_eq!(registry(&monitor), (peers.clone(), peers));
     }
 }

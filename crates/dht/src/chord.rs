@@ -60,6 +60,9 @@ struct NodeStorage {
 pub struct ChordNetwork {
     /// Ring positions of all live nodes (sorted by the BTreeMap).
     nodes: BTreeMap<NodeId, NodeStorage>,
+    /// The same positions as a sorted vector, rebuilt with the finger
+    /// tables: lookups draw their start node from it without collecting.
+    ring: Vec<NodeId>,
     /// Finger tables: node → fingers (successors of n + 2^i).
     fingers: HashMap<NodeId, Vec<NodeId>>,
     rng: StdRng,
@@ -76,6 +79,7 @@ impl ChordNetwork {
     pub fn with_nodes(n: usize, seed: u64) -> Self {
         let mut net = ChordNetwork {
             nodes: BTreeMap::new(),
+            ring: Vec::new(),
             fingers: HashMap::new(),
             rng: StdRng::seed_from_u64(seed),
             lookups: 0,
@@ -97,7 +101,7 @@ impl ChordNetwork {
 
     /// All node identifiers, sorted.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.ring.clone()
     }
 
     /// Average hops per lookup so far.
@@ -120,8 +124,8 @@ impl ChordNetwork {
 
     fn rebuild_fingers(&mut self) {
         self.fingers.clear();
-        let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        for &n in &ids {
+        self.ring = self.nodes.keys().copied().collect();
+        for &n in &self.ring {
             let mut table = Vec::with_capacity(64);
             for i in 0..64 {
                 let target = n.wrapping_add(1u64 << i);
@@ -206,8 +210,7 @@ impl ChordNetwork {
     /// Lookup starting from a deterministic pseudo-random node (models "any
     /// peer asks the question").
     pub fn lookup(&mut self, key: NodeId) -> LookupResult {
-        let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        let start = ids[self.rng.gen_range(0..ids.len())];
+        let start = self.ring[self.rng.gen_range(0..self.ring.len())];
         self.lookup_from(start, key)
     }
 
@@ -265,9 +268,7 @@ impl ChordNetwork {
         self.rebuild_fingers();
         // The new node takes over keys in (predecessor, id] from its
         // successor.
-        let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        let pos = ids.iter().position(|&n| n == id).expect("just inserted");
-        let successor = ids[(pos + 1) % ids.len()];
+        let successor = self.ring_successor(id);
         if successor == id {
             return;
         }
@@ -332,6 +333,13 @@ impl ChordNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hop counts of the sequence below; any change to the start-node draw
+    /// or to the routing shows here.
+    const GOLDEN_HOPS: [usize; 24] = [
+        2, 7, 4, 4, 4, 4, 4, 5, 2, 5, 3, 6, 5, 7, 4, 5, 4, 4, 4, 4, 3, 4, 4, 3,
+    ];
+    const GOLDEN_AVG_HOPS: f64 = 101.0 / 24.0;
 
     #[test]
     fn hash_is_deterministic_and_spread() {
@@ -412,6 +420,30 @@ mod tests {
             let (values, _) = net.get(&format!("k{i}"));
             assert_eq!(values, vec![format!("v{i}")], "k{i} lost after leave");
         }
+    }
+
+    #[test]
+    fn seeded_lookups_keep_their_start_nodes_and_hop_counts() {
+        // A fixed put/get sequence on a seeded ring, including lookups after
+        // a join and a leave: the start-node draw and the routing must replay
+        // exactly.
+        let mut net = ChordNetwork::with_nodes(100, 42);
+        let mut hops = Vec::new();
+        for i in 0..12 {
+            hops.push(net.put(&format!("k{i}"), format!("v{i}")).hops);
+        }
+        net.join(hash_key("late-joiner"));
+        for i in 0..6 {
+            hops.push(net.get(&format!("k{i}")).1.hops);
+        }
+        let victim = net.node_ids()[7];
+        assert!(net.leave(victim));
+        for i in 6..12 {
+            hops.push(net.get(&format!("k{i}")).1.hops);
+        }
+        assert_eq!(hops, GOLDEN_HOPS);
+        assert_eq!(net.lookups, 24);
+        assert_eq!(net.avg_hops(), GOLDEN_AVG_HOPS);
     }
 
     #[test]

@@ -13,9 +13,18 @@
 //! [`lookup`] miss is therefore *informative*: a name nobody ever registered
 //! a pattern for cannot match any name test (only wildcards apply).
 //!
-//! Interned names are leaked intentionally — the table is append-only and
-//! the QName vocabulary is bounded by the monitored schemas, not by traffic
-//! volume.
+//! Interned names are leaked intentionally and the table is append-only.
+//! It is *not* bounded by the monitored schemas: besides QNames it holds
+//! every [`Name`] — peer names, stream and channel ids — and deployment
+//! mints one channel name per deployed task output (`s{sub}-t{task}`, with
+//! subscription indexes never reused), so the table grows with every
+//! subscription ever submitted.
+//!
+//! Resolving a symbol takes no lock: names live in fixed power-of-two
+//! segments that are allocated once and written once, under the write lock
+//! that also guards the name → symbol map.  [`Name`]'s string ordering —
+//! every comparison in a `BTreeMap` keyed by a peer or channel id — is
+//! therefore two atomic loads per side, not two lock round-trips.
 
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
@@ -41,15 +50,25 @@ impl std::fmt::Display for Symbol {
     }
 }
 
-#[derive(Default)]
-struct Interner {
-    by_name: HashMap<&'static str, Symbol>,
-    names: Vec<&'static str>,
+/// Name → symbol, for interning and [`lookup`].
+fn table() -> &'static RwLock<HashMap<&'static str, Symbol>> {
+    static TABLE: OnceLock<RwLock<HashMap<&'static str, Symbol>>> = OnceLock::new();
+    TABLE.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-fn table() -> &'static RwLock<Interner> {
-    static TABLE: OnceLock<RwLock<Interner>> = OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(Interner::default()))
+/// One write-once slot per symbol.
+type Segment = Box<[OnceLock<&'static str>]>;
+
+/// Segment `k` holds the `2^k` symbols `2^k - 1 ..= 2^(k+1) - 2`, so 33
+/// segments cover every `u32` symbol and no segment ever moves once
+/// allocated.
+static SEGMENTS: [OnceLock<Segment>; 33] = [const { OnceLock::new() }; 33];
+
+/// The segment and the offset in it of a symbol's slot.
+fn slot_of(sym: Symbol) -> (usize, usize) {
+    let n = u64::from(sym.0) + 1;
+    let segment = n.ilog2();
+    (segment as usize, (n - (1 << segment)) as usize)
 }
 
 /// Interns a name, returning its stable symbol.  Idempotent and thread-safe;
@@ -59,13 +78,18 @@ pub fn intern(name: &str) -> Symbol {
         return sym;
     }
     let mut t = table().write().expect("interner poisoned");
-    if let Some(&sym) = t.by_name.get(name) {
+    if let Some(&sym) = t.get(name) {
         return sym;
     }
     let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    let sym = Symbol(u32::try_from(t.names.len()).expect("interner overflow"));
-    t.names.push(leaked);
-    t.by_name.insert(leaked, sym);
+    let sym = Symbol(u32::try_from(t.len()).expect("interner overflow"));
+    let (segment, offset) = slot_of(sym);
+    let slots =
+        SEGMENTS[segment].get_or_init(|| (0..1usize << segment).map(|_| OnceLock::new()).collect());
+    slots[offset]
+        .set(leaked)
+        .expect("symbols are handed out once, under the write lock");
+    t.insert(leaked, sym);
     sym
 }
 
@@ -76,23 +100,27 @@ pub fn lookup(name: &str) -> Option<Symbol> {
     table()
         .read()
         .expect("interner poisoned")
-        .by_name
         .get(name)
         .copied()
 }
 
-/// The name behind a symbol.
+/// The name behind a symbol.  Lock-free: a symbol's slot is written before
+/// [`intern`] hands the symbol out and never changes afterwards.
 ///
 /// # Panics
 ///
 /// Panics when the symbol did not come from [`intern`].
 pub fn resolve(sym: Symbol) -> &'static str {
-    table().read().expect("interner poisoned").names[sym.0 as usize]
+    let (segment, offset) = slot_of(sym);
+    SEGMENTS[segment]
+        .get()
+        .and_then(|slots| slots[offset].get())
+        .expect("symbol was not interned")
 }
 
 /// Number of names interned so far (monotone; a coarse vocabulary measure).
 pub fn interned_count() -> usize {
-    table().read().expect("interner poisoned").names.len()
+    table().read().expect("interner poisoned").len()
 }
 
 /// An interned *identity* string: a peer name, a stream/channel id, a
@@ -275,6 +303,67 @@ mod tests {
         assert_eq!(lookup("never-seen-name-7f3a"), None, "lookup interned");
         let sym = intern("never-seen-name-7f3a");
         assert_eq!(lookup("never-seen-name-7f3a"), Some(sym));
+    }
+
+    #[test]
+    fn symbols_round_trip_across_segment_boundaries() {
+        assert_eq!(slot_of(Symbol(0)), (0, 0));
+        assert_eq!(slot_of(Symbol(1)), (1, 0));
+        assert_eq!(slot_of(Symbol(2)), (1, 1));
+        assert_eq!(slot_of(Symbol(3)), (2, 0));
+        assert_eq!(slot_of(Symbol(u32::MAX)), (32, 0));
+        // Intern fresh names until the table spans segments 0..=12; other
+        // tests intern concurrently, so every probe goes through the table.
+        let mut i = 0;
+        while interned_count() <= (1 << 12) + 1 {
+            let name = format!("segment-boundary-probe-{i}");
+            let sym = intern(&name);
+            assert_eq!(resolve(sym), name);
+            i += 1;
+        }
+        for k in 1..=12 {
+            for sym in [(1u32 << k) - 1, 1 << k, (1 << k) + 1].map(Symbol) {
+                let name = resolve(sym);
+                assert_eq!(intern(name), sym, "symbol {} does not round-trip", sym.0);
+                assert_eq!(lookup(name), Some(sym));
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_interners_resolve_each_others_names() {
+        const THREADS: usize = 4;
+        const NAMES: usize = 500;
+        let barrier = std::sync::Barrier::new(THREADS);
+        let published: Vec<RwLock<Vec<Symbol>>> =
+            (0..THREADS).map(|_| RwLock::new(Vec::new())).collect();
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let (barrier, published) = (&barrier, &published);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in 0..NAMES {
+                        let name = format!("concurrent-probe-{thread}-{i}");
+                        let sym = intern(&name);
+                        assert_eq!(resolve(sym), name);
+                        published[thread].write().unwrap().push(sym);
+                        // Resolve what the others have interned so far.
+                        let other = (thread + 1 + i % (THREADS - 1)) % THREADS;
+                        let seen = published[other].read().unwrap().clone();
+                        for (j, sym) in seen.into_iter().enumerate() {
+                            assert_eq!(resolve(sym), format!("concurrent-probe-{other}-{j}"));
+                        }
+                    }
+                });
+            }
+        });
+        for (thread, syms) in published.iter().enumerate() {
+            let syms = syms.read().unwrap();
+            assert_eq!(syms.len(), NAMES);
+            for (i, &sym) in syms.iter().enumerate() {
+                assert_eq!(lookup(&format!("concurrent-probe-{thread}-{i}")), Some(sym));
+            }
+        }
     }
 
     #[test]
